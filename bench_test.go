@@ -648,8 +648,9 @@ func BenchmarkFrozenVsPointer(b *testing.B) {
 
 // Mean-sorted vs contiguous shard partitioning: mean-sorted shards pack
 // look-alike windows, so their MBTS are tighter and range searches
-// verify fewer candidates; the cost is a k-way merge (and a sort during
-// build). Result sets are identical.
+// verify fewer candidates; the cost is a sort during build (both
+// schemes merge answers with the same concatenate-and-sort). Result
+// sets are identical.
 func BenchmarkMeanShardPartition(b *testing.B) {
 	ds := benchSetups[1]
 	ext := benchExt(ds, series.NormGlobal)

@@ -502,17 +502,12 @@ func (e *Engine) SearchBatch(queries [][]float64, eps float64, parallelism int) 
 		fz := e.tsFrozen()
 		res := e.batchUnits(g, ex, fz, tqs, eps)
 		g.Wait()
+		lists := make([][]Match, len(res))
 		for bi, i := range valid {
-			var n int
-			for _, unit := range res {
-				n += len(unit[bi])
+			for u, unit := range res {
+				lists[u] = unit[bi]
 			}
-			ms := make([]Match, 0, n)
-			for _, unit := range res {
-				ms = append(ms, unit[bi]...)
-			}
-			series.SortMatches(ms)
-			out[i] = BatchResult{Query: i, Matches: ms}
+			out[i] = BatchResult{Query: i, Matches: series.MergeMatches(lists)}
 		}
 	default:
 		// The scan methods have no tree to batch over; per-query tasks.

@@ -6,12 +6,13 @@
 // topology's replica groups through a pooled HTTP client with per-node
 // timeouts and recombines with the same deterministic merges the local
 // fan-out uses, so a cluster answers byte-identically to a single local
-// engine: range-style paths k-way merge the groups' disjoint
-// start-sorted lists, top-k runs two-phase with a shared bound (the
-// seed group's k-th distance is broadcast to prune the rest — exactly
-// the bound one local work unit publishes to another, so the merged
-// result is unchanged), and approximate search splits the global leaf
-// budget across groups in proportion to their window counts.
+// engine: range-style paths concatenate the groups' disjoint lists and
+// sort the answer by start once, top-k runs two-phase with a shared
+// bound (the seed group's k-th distance is broadcast to prune the rest
+// — exactly the bound one local work unit publishes to another, so the
+// merged result is unchanged), and approximate search splits the
+// global leaf budget across groups in proportion to their window
+// counts.
 //
 // The topology is static (a JSON file mapping node addresses to shard
 // ranges) but replicated: with Replicas R ≥ 2 every shard set is owned
@@ -397,6 +398,18 @@ type statsResult struct {
 	st core.Stats
 }
 
+// mergeStats merges the groups' answers into one start-ordered list and
+// sums their counters.
+func mergeStats(per []statsResult) ([]series.Match, core.Stats) {
+	lists := make([][]series.Match, len(per))
+	var st core.Stats
+	for i, r := range per {
+		lists[i] = r.ms
+		st = shard.AddStats(st, r.st)
+	}
+	return series.MergeMatches(lists), st
+}
+
 // SearchStats is Search with traversal counters summed across every
 // group's work units.
 func (c *Coordinator) SearchStats(ctx context.Context, q []float64, eps float64) ([]series.Match, core.Stats, error) {
@@ -408,15 +421,9 @@ func (c *Coordinator) SearchStats(ctx context.Context, q []float64, eps float64)
 		return nil, core.Stats{}, err
 	}
 	msp := obs.SpanFrom(ctx).StartChild("merge")
-	lists := make([][]series.Match, len(per))
-	var st core.Stats
-	for i, r := range per {
-		lists[i] = r.ms
-		st = shard.AddStats(st, r.st)
-	}
-	ms := shard.MergeByStart(lists)
+	ms, st := mergeStats(per)
 	if msp != nil {
-		msp.Set("groups", len(lists))
+		msp.Set("groups", len(per))
 		msp.Set("results", len(ms))
 		msp.End()
 	}
@@ -480,7 +487,7 @@ func (c *Coordinator) SearchPrefix(ctx context.Context, q []float64, eps float64
 	if err != nil {
 		return nil, err
 	}
-	return core.ScanPrefixTail(c.ext, c.l, q, eps, shard.MergeByStart(per)), nil
+	return core.ScanPrefixTail(c.ext, c.l, q, eps, series.MergeMatches(per)), nil
 }
 
 // validatePrefix mirrors core's prefix-query validation with the
@@ -520,13 +527,8 @@ func (c *Coordinator) SearchApprox(ctx context.Context, q []float64, eps float64
 	if err != nil {
 		return nil, core.Stats{}, err
 	}
-	lists := make([][]series.Match, len(per))
-	var st core.Stats
-	for i, r := range per {
-		lists[i] = r.ms
-		st = shard.AddStats(st, r.st)
-	}
-	return shard.MergeByStart(lists), st, nil
+	ms, st := mergeStats(per)
+	return ms, st, nil
 }
 
 // splitBudget divides a leaf budget across replica groups

@@ -187,7 +187,7 @@ func TestClusterDifferential(t *testing.T) {
 
 // TestClusterDifferentialMeanPartition repeats the core paths over a
 // mean-partitioned index, where node result lists interleave in
-// position space and the k-way merge does real work.
+// position space and the merge's sort does real work.
 func TestClusterDifferentialMeanPartition(t *testing.T) {
 	data := datasets.RandomWalk(43, 2000)
 	ext := series.NewExtractor(data, series.NormGlobal)

@@ -371,7 +371,7 @@ func (r *Runner) FigureFrozen() []Row {
 			build func() (built, error)
 		}
 		variants := []variant{
-			{"layout=pointer", func() (built, error) { return buildMethod(TSIndex, ext, DefaultL, DefaultM) }},
+			{"layout=pointer", func() (built, error) { return buildPointer(ext, DefaultL) }},
 			{"layout=frozen", func() (built, error) { return buildFrozen(ext, DefaultL) }},
 			{"layout=frozen/shards=auto", func() (built, error) {
 				return buildSharded(ext, DefaultL, 0, r.Workers, nil, false)

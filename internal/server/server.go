@@ -168,8 +168,8 @@ func (h *Handler) health(w http.ResponseWriter, r *http.Request) {
 		"mapped_bytes": h.eng.MappedBytes(),
 		"shards":       h.eng.Shards(),
 		// How sharded partitions own the position space: "mean" packs
-		// look-alike windows per shard (tighter bounds, k-way merge),
-		// "range" is the contiguous default.
+		// look-alike windows per shard (tighter bounds), "range" is the
+		// contiguous default. Both merge answers the same way.
 		"partition": partitionName(h.eng.PartitionByMean()),
 		// The engine's query executor is shared by every request this
 		// server handles — sharded fan-out units, batch work, and

@@ -17,7 +17,9 @@ package shard
 //   - Range-style results (Search/Stats/PrefixTree/Approx) are sorted
 //     by start position; top-k results by the (dist, start) total
 //     order. Result sets from backends over disjoint shard sets are
-//     disjoint, so a k-way merge reproduces the single-engine order.
+//     disjoint, so concatenating range lists and sorting once
+//     (series.MergeMatches), or k-way merging top-k lists (MergeTopK),
+//     reproduces the single-engine order.
 //   - SearchPrefixTree reports prefix twins among the backend's indexed
 //     starts only — no tail scan. The windows that exist only at the
 //     shorter query length belong to no shard; exactly one party (the
@@ -73,20 +75,6 @@ type Backend interface {
 	MappedBytes() int
 }
 
-// MergeByStart k-way merges start-sorted, start-disjoint match lists
-// into one start-sorted list — the deterministic range merge every
-// fan-out layer (units→shard, shard→index, node→coordinator) reuses.
-func MergeByStart(per [][]series.Match) []series.Match {
-	total := 0
-	for _, ms := range per {
-		total += len(ms)
-	}
-	if total == 0 {
-		return nil
-	}
-	return mergeByStart(per, total)
-}
-
 // MergeTopK k-way merges start-disjoint, (dist, start)-sorted lists and
 // returns the first k under that total order — the deterministic top-k
 // merge shared with the coordinator.
@@ -113,11 +101,10 @@ func canceled(ctx context.Context) bool {
 // queueSearchUnits enqueues the (shard, subtree) units of one range
 // search over frozen/fr into g — the core of QueueSearch, shared with
 // Subset. A nil ctx never cancels.
-func queueSearchUnits(g *exec.Group, ctx context.Context, frozen []*core.Frozen, fr [][]core.FrozenSubtree, byMean bool, q []float64, eps float64) *PendingSearch {
+func queueSearchUnits(g *exec.Group, ctx context.Context, frozen []*core.Frozen, fr [][]core.FrozenSubtree, q []float64, eps float64) *PendingSearch {
 	p := &PendingSearch{
-		res:    make([][][]series.Match, len(fr)),
-		st:     make([][]core.Stats, len(fr)),
-		byMean: byMean,
+		res: make([][][]series.Match, len(fr)),
+		st:  make([][]core.Stats, len(fr)),
 	}
 	for i, units := range fr {
 		p.res[i] = make([][]series.Match, len(units))
@@ -141,7 +128,7 @@ func queueSearchUnits(g *exec.Group, ctx context.Context, frozen []*core.Frozen,
 // serving one shard of a larger container must still traverse frontier
 // units so its counters (which skip nodes above unit roots) agree with
 // the full fan-out's.
-func searchStatsUnits(ctx context.Context, ex *exec.Executor, frozen []*core.Frozen, fr func() [][]core.FrozenSubtree, byMean bool, q []float64, eps float64, direct bool) ([]series.Match, core.Stats, error) {
+func searchStatsUnits(ctx context.Context, ex *exec.Executor, frozen []*core.Frozen, fr func() [][]core.FrozenSubtree, q []float64, eps float64, direct bool) ([]series.Match, core.Stats, error) {
 	if canceled(ctx) {
 		return nil, core.Stats{}, ctx.Err()
 	}
@@ -155,7 +142,7 @@ func searchStatsUnits(ctx context.Context, ex *exec.Executor, frozen []*core.Fro
 	}
 	g := ex.NewGroup()
 	tsp := sp.StartChild("traverse")
-	p := queueSearchUnits(g, ctx, frozen, fr(), byMean, q, eps)
+	p := queueSearchUnits(g, ctx, frozen, fr(), q, eps)
 	g.Wait()
 	if tsp != nil {
 		// Per-shard counter subtrees are assembled after the barrier
@@ -220,10 +207,22 @@ func searchTopKUnits(ctx context.Context, ex *exec.Executor, frozen []*core.Froz
 	if len(frozen) == 1 {
 		return frozen[0].SearchTopKShared(q, k, shared), nil
 	}
-	units := fr()
+	lists := runUnits(ctx, ex, frozen, fr(), func(f *core.Frozen, u core.FrozenSubtree) []series.Match {
+		return f.SearchTopKSharedFrom(u, q, k, shared)
+	})
+	if canceled(ctx) {
+		return nil, ctx.Err()
+	}
+	return mergeTopK(lists, k), nil
+}
+
+// runUnits runs search on every (shard, subtree) unit of units as one
+// executor group and returns the per-unit lists, shard by shard. Units
+// still queued once ctx is done are skipped (their lists stay nil).
+func runUnits(ctx context.Context, ex *exec.Executor, frozen []*core.Frozen, units [][]core.FrozenSubtree, search func(*core.Frozen, core.FrozenSubtree) []series.Match) [][]series.Match {
 	n := 0
-	for _, u := range units {
-		n += len(u)
+	for _, us := range units {
+		n += len(us)
 	}
 	lists := make([][]series.Match, n)
 	g := ex.NewGroup()
@@ -234,25 +233,21 @@ func searchTopKUnits(ctx context.Context, ex *exec.Executor, frozen []*core.Froz
 			slot := at
 			at++
 			g.Go(func(*exec.Ctx) {
-				if canceled(ctx) {
-					return
+				if !canceled(ctx) {
+					lists[slot] = search(f, u)
 				}
-				lists[slot] = f.SearchTopKSharedFrom(u, q, k, shared)
 			})
 		}
 	}
 	g.Wait()
-	if canceled(ctx) {
-		return nil, ctx.Err()
-	}
-	return mergeTopK(lists, k), nil
+	return lists
 }
 
 // searchPrefixUnits runs the tree half of one prefix search over
-// frozen/fr: truncated-bound traversal of every unit, per-shard sort,
-// partition merge. The tail windows are NOT scanned here — the caller
-// decides who scans them exactly once.
-func searchPrefixUnits(ctx context.Context, ex *exec.Executor, frozen []*core.Frozen, fr func() [][]core.FrozenSubtree, byMean bool, q []float64, eps float64) ([]series.Match, error) {
+// frozen/fr: truncated-bound traversal of every unit, then one
+// concatenate-and-sort merge. The tail windows are NOT scanned here —
+// the caller decides who scans them exactly once.
+func searchPrefixUnits(ctx context.Context, ex *exec.Executor, frozen []*core.Frozen, fr func() [][]core.FrozenSubtree, q []float64, eps float64) ([]series.Match, error) {
 	if err := frozen[0].ValidatePrefix(q); err != nil {
 		return nil, err
 	}
@@ -262,40 +257,18 @@ func searchPrefixUnits(ctx context.Context, ex *exec.Executor, frozen []*core.Fr
 	if len(frozen) == 1 {
 		return frozen[0].SearchPrefixTree(q, eps)
 	}
-	units := fr()
-	res := make([][][]series.Match, len(units))
-	g := ex.NewGroup()
-	for i, us := range units {
-		res[i] = make([][]series.Match, len(us))
-		f := frozen[i]
-		for j, u := range us {
-			g.Go(func(*exec.Ctx) {
-				if canceled(ctx) {
-					return
-				}
-				res[i][j] = f.SearchPrefixTreeFrom(u, q, eps)
-			})
-		}
-	}
-	g.Wait()
+	lists := runUnits(ctx, ex, frozen, fr(), func(f *core.Frozen, u core.FrozenSubtree) []series.Match {
+		return f.SearchPrefixTreeFrom(u, q, eps)
+	})
 	if canceled(ctx) {
 		return nil, ctx.Err()
 	}
-	per := make([][]series.Match, len(units))
-	for i := range res {
-		var ms []series.Match
-		for _, unit := range res[i] {
-			ms = append(ms, unit...)
-		}
-		series.SortMatches(ms)
-		per[i] = ms
-	}
-	return mergePartitioned(per, byMean), nil
+	return series.MergeMatches(lists), nil
 }
 
 // searchApproxUnits runs one approximate search over frozen, drawing
 // leaves from a single shared budget across the shards.
-func searchApproxUnits(ctx context.Context, ex *exec.Executor, frozen []*core.Frozen, byMean bool, q []float64, eps float64, leafBudget int) ([]series.Match, core.Stats, error) {
+func searchApproxUnits(ctx context.Context, ex *exec.Executor, frozen []*core.Frozen, q []float64, eps float64, leafBudget int) ([]series.Match, core.Stats, error) {
 	if leafBudget <= 0 {
 		leafBudget = 1
 	}
@@ -326,7 +299,7 @@ func searchApproxUnits(ctx context.Context, ex *exec.Executor, frozen []*core.Fr
 	for _, x := range stats {
 		st = addStats(st, x)
 	}
-	return mergePartitioned(per, byMean), st, nil
+	return series.MergeMatches(per), st, nil
 }
 
 // --- ctx-aware entry points on the full local index ---
@@ -341,7 +314,7 @@ func (s *Index) SearchCtx(ctx context.Context, q []float64, eps float64) ([]seri
 // SearchStatsCtx is SearchStats honoring cancellation.
 func (s *Index) SearchStatsCtx(ctx context.Context, q []float64, eps float64) ([]series.Match, core.Stats, error) {
 	s.ensureFrozen()
-	return searchStatsUnits(ctx, s.ex, s.frozen, s.unitFrontiers, s.byMean, q, eps, true)
+	return searchStatsUnits(ctx, s.ex, s.frozen, s.unitFrontiers, q, eps, true)
 }
 
 // SearchTopKCtx is SearchTopK honoring cancellation, with the shared
@@ -356,13 +329,13 @@ func (s *Index) SearchTopKCtx(ctx context.Context, q []float64, k int, bound flo
 // scan (the Backend contract).
 func (s *Index) SearchPrefixTreeCtx(ctx context.Context, q []float64, eps float64) ([]series.Match, error) {
 	s.ensureFrozen()
-	return searchPrefixUnits(ctx, s.ex, s.frozen, s.unitFrontiers, s.byMean, q, eps)
+	return searchPrefixUnits(ctx, s.ex, s.frozen, s.unitFrontiers, q, eps)
 }
 
 // SearchApproxCtx is SearchApprox honoring cancellation.
 func (s *Index) SearchApproxCtx(ctx context.Context, q []float64, eps float64, leafBudget int) ([]series.Match, core.Stats, error) {
 	s.ensureFrozen()
-	return searchApproxUnits(ctx, s.ex, s.frozen, s.byMean, q, eps, leafBudget)
+	return searchApproxUnits(ctx, s.ex, s.frozen, q, eps, leafBudget)
 }
 
 // Local adapts the full index to the Backend interface — the form a

@@ -20,10 +20,9 @@ import (
 // range search; Resolve assembles them after the group completes —
 // the batch counterpart of PendingSearch.
 type PendingBatchSearch struct {
-	res    [][][][]series.Match // [shard][unit][query] match lists, batch traversal order
-	st     [][][]core.Stats     // [shard][unit][query]
-	nq     int
-	byMean bool
+	res [][][][]series.Match // [shard][unit][query] match lists, batch traversal order
+	st  [][][]core.Stats     // [shard][unit][query]
+	nq  int
 }
 
 // QueueSearchBatch enqueues the (shard, subtree) units of one batch
@@ -31,19 +30,18 @@ type PendingBatchSearch struct {
 // results. Call Resolve only after g.Wait() returns.
 func (s *Index) QueueSearchBatch(g *exec.Group, qs [][]float64, eps float64) *PendingBatchSearch {
 	s.ensureFrozen()
-	return queueSearchBatchUnits(g, nil, s.frozen, s.unitFrontiers(), s.byMean, qs, eps)
+	return queueSearchBatchUnits(g, nil, s.frozen, s.unitFrontiers(), qs, eps)
 }
 
 // queueSearchBatchUnits enqueues the (shard, subtree) units of one
 // batch range search over frozen/fr into g — the batch counterpart of
 // queueSearchUnits, shared by Index and Subset. A nil ctx never
 // cancels.
-func queueSearchBatchUnits(g *exec.Group, ctx context.Context, frozen []*core.Frozen, fr [][]core.FrozenSubtree, byMean bool, qs [][]float64, eps float64) *PendingBatchSearch {
+func queueSearchBatchUnits(g *exec.Group, ctx context.Context, frozen []*core.Frozen, fr [][]core.FrozenSubtree, qs [][]float64, eps float64) *PendingBatchSearch {
 	p := &PendingBatchSearch{
-		res:    make([][][][]series.Match, len(fr)),
-		st:     make([][][]core.Stats, len(fr)),
-		nq:     len(qs),
-		byMean: byMean,
+		res: make([][][][]series.Match, len(fr)),
+		st:  make([][][]core.Stats, len(fr)),
+		nq:  len(qs),
 	}
 	for i, units := range fr {
 		p.res[i] = make([][][]series.Match, len(units))
@@ -62,39 +60,27 @@ func queueSearchBatchUnits(g *exec.Group, ctx context.Context, frozen []*core.Fr
 }
 
 // Resolve merges the unit results per query with exactly the merge
-// PendingSearch.Resolve applies to a single query: per-shard
-// concatenation and sort by start, then the partition merge. Entry i
-// of both returns covers query i.
+// PendingSearch.Resolve applies to a single query: every unit's list
+// concatenated, then one sort by start. Entry i of both returns covers
+// query i.
 func (p *PendingBatchSearch) Resolve() ([][]series.Match, []core.Stats) {
 	out := make([][]series.Match, p.nq)
 	sts := make([]core.Stats, p.nq)
+	var lists [][]series.Match
 	for qi := 0; qi < p.nq; qi++ {
-		var st core.Stats
-		total := 0
-		per := make([][]series.Match, len(p.res))
+		lists = lists[:0]
 		for i := range p.res {
-			n := 0
 			for j := range p.res[i] {
 				if p.st[i][j] != nil {
-					st = addStats(st, p.st[i][j][qi])
+					sts[qi] = addStats(sts[qi], p.st[i][j][qi])
 				}
 				if p.res[i][j] != nil {
-					n += len(p.res[i][j][qi])
+					lists = append(lists, p.res[i][j][qi])
 				}
 			}
-			ms := make([]series.Match, 0, n)
-			for j := range p.res[i] {
-				if p.res[i][j] != nil {
-					ms = append(ms, p.res[i][j][qi]...)
-				}
-			}
-			series.SortMatches(ms)
-			per[i] = ms
-			total += n
 		}
-		st.Results = total
-		out[qi] = mergePartitioned(per, p.byMean)
-		sts[qi] = st
+		out[qi] = series.MergeMatches(lists)
+		sts[qi].Results = len(out[qi])
 	}
 	return out, sts
 }
@@ -117,7 +103,7 @@ func (s *Subset) SearchStatsBatchCtx(ctx context.Context, qs [][]float64, eps fl
 		return nil, nil, ctx.Err()
 	}
 	g := s.ex.NewGroup()
-	p := queueSearchBatchUnits(g, ctx, s.frozen, s.unitFrontiers(), s.byMean, qs, eps)
+	p := queueSearchBatchUnits(g, ctx, s.frozen, s.unitFrontiers(), qs, eps)
 	g.Wait()
 	if canceled(ctx) {
 		return nil, nil, ctx.Err()

@@ -16,12 +16,13 @@
 // counterpart step for step.
 //
 // Two partitioning schemes are supported. The default splits positions
-// into contiguous ranges, whose per-shard results concatenate in shard
-// order. Config.PartitionByMean instead sorts positions by window mean
-// and hands each shard an equal run — twins have means within ε of each
-// other, so mean-neighbours pack into tighter per-shard MBTS and prune
-// more — at the cost of a k-way merge by start position where the
-// contiguous scheme concatenates.
+// into contiguous ranges. Config.PartitionByMean instead sorts positions
+// by window mean and hands each shard an equal run — twins have means
+// within ε of each other, so mean-neighbours pack into tighter per-shard
+// MBTS and prune more. Both merge range answers the same way: every
+// unit's list is concatenated and the whole answer is ordered by one
+// linear-time series.SortMatches, so the mean scheme costs no extra
+// merge work.
 package shard
 
 import (
@@ -60,8 +61,8 @@ type Config struct {
 	// value under per-subsequence normalization, where every mean is
 	// zero) and split into equal-count runs. Per-shard MBTS get tighter
 	// — a shard encloses look-alike windows instead of whatever happened
-	// to be adjacent — so searches prune more; range-search merges
-	// switch from positional concatenation to a k-way merge by start.
+	// to be adjacent — so searches prune more. Range answers merge the
+	// same way under either scheme.
 	PartitionByMean bool
 	// Executor runs the build and query work units; nil selects the
 	// process-wide default (GOMAXPROCS workers).
@@ -353,9 +354,8 @@ func (s *Index) SearchStats(q []float64, eps float64) ([]series.Match, core.Stat
 // (query, shard, subtree) unit is a peer in the same pool — instead of
 // nesting a query pool above a shard pool.
 type PendingSearch struct {
-	res    [][][]series.Match // [shard][unit] match lists, traversal order
-	st     [][]core.Stats     // [shard][unit]
-	byMean bool
+	res [][][]series.Match // [shard][unit] match lists, traversal order
+	st  [][]core.Stats     // [shard][unit]
 }
 
 // QueueSearch enqueues the (shard, subtree) units of one range search
@@ -363,43 +363,26 @@ type PendingSearch struct {
 // only after g.Wait() returns.
 func (s *Index) QueueSearch(g *exec.Group, q []float64, eps float64) *PendingSearch {
 	s.ensureFrozen()
-	return queueSearchUnits(g, nil, s.frozen, s.unitFrontiers(), s.byMean, q, eps)
+	return queueSearchUnits(g, nil, s.frozen, s.unitFrontiers(), q, eps)
 }
 
-// Resolve merges the unit results deterministically: units of one
-// shard are concatenated and sorted by start (the set is identical
-// however the tree was split, so the sorted order is too). Under the
-// contiguous partition shards own ascending position ranges, so
-// shard-order concatenation IS the position-order merge; mean-sorted
-// shards interleave in position space, so their sorted lists k-way
-// merge by start instead.
+// Resolve merges the unit results deterministically: every unit's list
+// is concatenated and the whole answer sorted by start once. Units and
+// shards own disjoint positions, so the order depends only on the
+// answer set — never on how the trees were split or the positions
+// partitioned.
 func (p *PendingSearch) Resolve() ([]series.Match, core.Stats) {
 	var st core.Stats
-	total := 0
+	var lists [][]series.Match
 	for i := range p.res {
-		for j := range p.res[i] {
-			total += len(p.res[i][j])
-			st = addStats(st, p.st[i][j])
+		lists = append(lists, p.res[i]...)
+		for _, u := range p.st[i] {
+			st = addStats(st, u)
 		}
 	}
-	st.Results = total
-	if total == 0 {
-		return nil, st
-	}
-	per := make([][]series.Match, len(p.res))
-	for i := range p.res {
-		n := 0
-		for _, unit := range p.res[i] {
-			n += len(unit)
-		}
-		ms := make([]series.Match, 0, n)
-		for _, unit := range p.res[i] {
-			ms = append(ms, unit...)
-		}
-		series.SortMatches(ms)
-		per[i] = ms
-	}
-	return mergePartitioned(per, p.byMean), st
+	ms := series.MergeMatches(lists)
+	st.Results = len(ms)
+	return ms, st
 }
 
 func addStats(a, b core.Stats) core.Stats {
@@ -410,55 +393,6 @@ func addStats(a, b core.Stats) core.Stats {
 	a.Abandons += b.Abandons
 	a.Results += b.Results
 	return a
-}
-
-// mergePartitioned combines per-shard start-sorted results according
-// to the partition scheme: positional concatenation for contiguous
-// shards (shard order IS position order), a k-way merge by start for
-// mean-sorted shards. Every range-search path funnels through here so
-// the merge policy lives in one place.
-func mergePartitioned(per [][]series.Match, byMean bool) []series.Match {
-	total := 0
-	for _, ms := range per {
-		total += len(ms)
-	}
-	if total == 0 {
-		return nil
-	}
-	if byMean {
-		return mergeByStart(per, total)
-	}
-	out := make([]series.Match, 0, total)
-	for _, ms := range per {
-		out = append(out, ms...)
-	}
-	return out
-}
-
-// mergeByStart k-way merges start-sorted, start-disjoint lists into one
-// start-sorted list of the given total length.
-func mergeByStart(per [][]series.Match, total int) []series.Match {
-	h := make(startHeap, 0, len(per))
-	for i, ms := range per {
-		if len(ms) > 0 {
-			h = append(h, mergeItem{list: i, m: ms[0]})
-		}
-	}
-	heap.Init(&h)
-	out := make([]series.Match, 0, total)
-	next := make([]int, len(per))
-	for h.Len() > 0 {
-		top := h[0]
-		out = append(out, top.m)
-		next[top.list]++
-		if n := next[top.list]; n < len(per[top.list]) {
-			h[0] = mergeItem{list: top.list, m: per[top.list][n]}
-			heap.Fix(&h, 0)
-		} else {
-			heap.Pop(&h)
-		}
-	}
-	return out
 }
 
 // SearchTopK returns the k nearest subsequences under Chebyshev
@@ -515,21 +449,6 @@ func (h distHeap) Less(i, j int) bool {
 func (h distHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
 func (h *distHeap) Push(x interface{}) { *h = append(*h, x.(mergeItem)) }
 func (h *distHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	item := old[n-1]
-	*h = old[:n-1]
-	return item
-}
-
-// startHeap is a min-heap by start position.
-type startHeap []mergeItem
-
-func (h startHeap) Len() int            { return len(h) }
-func (h startHeap) Less(i, j int) bool  { return h[i].m.Start < h[j].m.Start }
-func (h startHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *startHeap) Push(x interface{}) { *h = append(*h, x.(mergeItem)) }
-func (h *startHeap) Pop() interface{} {
 	old := *h
 	n := len(old)
 	item := old[n-1]

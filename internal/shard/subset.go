@@ -193,7 +193,7 @@ func (s *Subset) Search(ctx context.Context, q []float64, eps float64) ([]series
 // SearchStats implements Backend. The whole-tree fast path applies
 // only when this subset IS the whole container; see searchStatsUnits.
 func (s *Subset) SearchStats(ctx context.Context, q []float64, eps float64) ([]series.Match, core.Stats, error) {
-	return searchStatsUnits(ctx, s.ex, s.frozen, s.unitFrontiers, s.byMean, q, eps, s.total == 1)
+	return searchStatsUnits(ctx, s.ex, s.frozen, s.unitFrontiers, q, eps, s.total == 1)
 }
 
 // SearchTopK implements Backend: the k nearest among this subset's
@@ -206,13 +206,13 @@ func (s *Subset) SearchTopK(ctx context.Context, q []float64, k int, bound float
 // SearchPrefixTree implements Backend: prefix twins among this subset's
 // indexed starts only — the tail windows belong to whoever coordinates.
 func (s *Subset) SearchPrefixTree(ctx context.Context, q []float64, eps float64) ([]series.Match, error) {
-	return searchPrefixUnits(ctx, s.ex, s.frozen, s.unitFrontiers, s.byMean, q, eps)
+	return searchPrefixUnits(ctx, s.ex, s.frozen, s.unitFrontiers, q, eps)
 }
 
 // SearchApprox implements Backend: at most leafBudget leaf probes
 // shared across this subset's shards.
 func (s *Subset) SearchApprox(ctx context.Context, q []float64, eps float64, leafBudget int) ([]series.Match, core.Stats, error) {
-	return searchApproxUnits(ctx, s.ex, s.frozen, s.byMean, q, eps, leafBudget)
+	return searchApproxUnits(ctx, s.ex, s.frozen, q, eps, leafBudget)
 }
 
 // Windows implements Backend.

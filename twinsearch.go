@@ -134,9 +134,10 @@ type Options struct {
 	// PartitionByMean makes sharded partitions own mean-sorted runs of
 	// the window positions instead of contiguous ranges: each shard
 	// packs look-alike windows, so its MBTS are tighter and searches
-	// prune more, at the cost of a k-way merge (by start position)
-	// where contiguous shards simply concatenate. Answers are
-	// identical either way. Ignored unless Shards resolves above 1.
+	// prune more. The merge is the same under either scheme: shard
+	// lists are concatenated and sorted by start once, in linear time.
+	// Answers are identical either way. Ignored unless Shards resolves
+	// above 1.
 	PartitionByMean bool
 
 	// Workers sizes the engine's query executor — the work-stealing
